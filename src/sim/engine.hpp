@@ -1,14 +1,13 @@
 #pragma once
 
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -58,13 +57,15 @@ struct RunResult {
 /// Deterministic discrete-event engine executing a RankProgram on
 /// `config.num_ranks` simulated MPI processes.
 ///
-/// Concurrency model: each rank runs on its own std::thread, but a single
-/// token is passed between the engine and exactly one rank at a time, so
-/// execution is sequential and fully deterministic. The engine always
-/// advances the entity with the smallest virtual timestamp — either a rank
-/// that is ready to execute its next program step, or the in-flight message
-/// with the earliest delivery time. Ties break on a monotonically increasing
-/// sequence number.
+/// Execution model: each rank runs as a fiber (a `ucontext` with its own
+/// mmap'd stack) on the thread that calls run(). A rank runs until its next
+/// MPI call, then switches back to the engine, so exactly one rank or the
+/// engine executes at a time and execution is sequential and fully
+/// deterministic, with no OS thread, lock or wake-up per call. The engine
+/// always advances the entity with the smallest virtual timestamp — either
+/// a rank that is ready to execute its next program step, or the in-flight
+/// message with the earliest delivery time. Ties break on a monotonically
+/// increasing sequence number.
 ///
 /// Non-determinism across runs therefore comes from one place only: the
 /// seeded NetworkModel jitter, i.e. the paper's "percentage of
@@ -90,8 +91,16 @@ public:
   int num_nodes() const { return config_.num_nodes; }
   int node_of(int rank) const { return config_.node_of(rank); }
 
+  /// Usable stack of every rank fiber. A PROT_NONE guard page below it
+  /// turns an overflow into a fault instead of silent corruption.
+  static constexpr std::size_t kRankStackBytes = 256 * 1024;
+
 private:
   friend class Comm;
+
+  /// A switchable execution context (defined in engine.cpp, which keeps
+  /// <ucontext.h> and the sanitizer hooks out of this header).
+  struct Fiber;
 
   enum class CallKind : std::uint8_t {
     kCompute,
@@ -112,9 +121,9 @@ private:
     kNonblockingSync,
   };
 
-  /// One MPI call crossing from a rank thread into the engine. Lives on the
-  /// rank thread's stack; the engine accesses it only while the rank is
-  /// parked, with ordering established by the token mutex.
+  /// One MPI call crossing from a rank fiber into the engine. Lives on the
+  /// rank fiber's stack; the engine accesses it only while the rank is
+  /// switched out.
   struct Call {
     CallKind kind = CallKind::kCompute;
     // send parameters
@@ -195,16 +204,15 @@ private:
 
   struct RankCtx {
     int rank = -1;
-    std::thread thread;
+    std::unique_ptr<Fiber> fiber;
     RankState state = RankState::kReady;
     double clock = 0.0;
-    /// Pending/in-progress call, owned by the rank thread's stack.
+    /// Pending/in-progress call, owned by the rank fiber's stack.
     Call* call = nullptr;
     bool has_pending_call = false;
     bool call_done = false;
     bool started = false;
     bool finished = false;
-    bool aborted = false;
     std::exception_ptr error;
     BlockKind block_kind = BlockKind::kNone;
     std::deque<PostedRecv> posted;
@@ -235,21 +243,22 @@ private:
 
   struct AbortSignal {};
 
-  // --- entry points used by Comm (called on rank threads) ---
+  // --- entry points used by Comm (called on rank fibers) ---
   void rank_call(int rank, Call& call);
   void push_frame(int rank, std::string frame);
   void pop_frame(int rank);
   Rng& rank_rng(int rank);
 
-  // --- token passing ---
+  // --- fiber switching ---
+  static void fiber_entry();
+  void rank_fiber_main(RankCtx& ctx);
   void resume_rank(RankCtx& ctx);
-  void yield_to_engine(int rank);
-  void wait_for_token_initial(int rank);
-  void finish_rank_handshake(RankCtx& ctx);
-  void abort_all_ranks();
+  void yield_to_engine(RankCtx& ctx);
+  /// Unwind every started, unfinished rank (each throws AbortSignal from
+  /// its pending call), then release all fiber stacks.
+  void teardown_ranks();
 
-  // --- engine mechanics (engine thread only) ---
-  void rank_thread_main(RankCtx& ctx);
+  // --- engine mechanics (engine context only) ---
   void main_loop();
   void step_rank(RankCtx& ctx);
   void process_call(RankCtx& ctx, Call& call);
@@ -320,12 +329,9 @@ private:
   std::uint64_t matched_messages_ = 0;
   std::uint64_t max_unexpected_depth_ = 0;
   bool ran_ = false;
-  bool threads_started_ = false;
 
-  static constexpr int kEngineToken = -1;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  int token_ = kEngineToken;
+  /// The context run() was called from; rank fibers switch back to it.
+  std::unique_ptr<Fiber> engine_fiber_;
   bool aborting_ = false;
 };
 
