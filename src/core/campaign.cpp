@@ -1,5 +1,6 @@
 #include "core/campaign.hpp"
 
+#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -134,20 +135,52 @@ namespace {
 /// reference run's artifact key. Sweep points differ only in nd_fraction,
 /// which the reference run zeroes out, so an 11-point sweep shares one
 /// reference simulation. Works with or without an artifact store.
-struct ReferenceMemo {
-  std::mutex mutex;
-  std::unordered_map<std::string, std::shared_ptr<const graph::EventGraph>>
-      by_key;
+///
+/// The key includes the seed, so a long-lived process (a `serve`
+/// scheduler, a benchmark) meets an endless stream of keys. The memo keeps
+/// the kMaxEntries most recently used graphs (a few MB each at paper
+/// scale): a reference an ongoing sweep keeps using stays resident while
+/// one-off references pass through.
+class ReferenceMemo {
+ public:
+  static constexpr std::size_t kMaxEntries = 8;
+
+  std::shared_ptr<const graph::EventGraph> find(const std::string& key) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = index_.find(key);
+    if (it == index_.end()) return nullptr;
+    entries_.splice(entries_.begin(), entries_, it->second);
+    return it->second->second;
+  }
+
+  void insert(const std::string& key,
+              std::shared_ptr<const graph::EventGraph> graph) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (const auto it = index_.find(key); it != index_.end()) {
+      // Another thread produced the same reference first.
+      entries_.splice(entries_.begin(), entries_, it->second);
+      return;
+    }
+    entries_.emplace_front(key, std::move(graph));
+    index_.emplace(key, entries_.begin());
+    if (entries_.size() > kMaxEntries) {
+      index_.erase(entries_.back().first);
+      entries_.pop_back();
+    }
+  }
+
+ private:
+  using Entry =
+      std::pair<std::string, std::shared_ptr<const graph::EventGraph>>;
+  std::mutex mutex_;
+  std::list<Entry> entries_;  // most recently used first
+  std::unordered_map<std::string, std::list<Entry>::iterator> index_;
 };
 
 ReferenceMemo& reference_memo() {
   static ReferenceMemo memo;
   return memo;
 }
-
-/// Coarse bound so a long-lived process sweeping many shapes cannot grow
-/// the memo without limit (graphs are a few MB each at paper scale).
-constexpr std::size_t kMaxReferenceMemoEntries = 64;
 
 /// Produce the reference event graph: memo, then store, then simulate.
 /// Each unique reference key is simulated at most once per process (see
@@ -160,13 +193,7 @@ std::shared_ptr<const graph::EventGraph> reference_graph(
       store::ArtifactStore::run_key(config.pattern, config.shape, sim_config);
   const std::string hex = key.to_hex();
 
-  ReferenceMemo& memo = reference_memo();
-  {
-    std::lock_guard<std::mutex> lock(memo.mutex);
-    if (const auto it = memo.by_key.find(hex); it != memo.by_key.end()) {
-      return it->second;
-    }
-  }
+  if (auto memoized = reference_memo().find(hex)) return memoized;
 
   std::shared_ptr<const graph::EventGraph> graph;
   if (store != nullptr) {
@@ -187,9 +214,7 @@ std::shared_ptr<const graph::EventGraph> reference_graph(
         std::move(encoded.graph));
   }
 
-  std::lock_guard<std::mutex> lock(memo.mutex);
-  if (memo.by_key.size() >= kMaxReferenceMemoEntries) memo.by_key.clear();
-  memo.by_key.emplace(hex, graph);
+  reference_memo().insert(hex, graph);
   return graph;
 }
 

@@ -108,6 +108,27 @@ TEST(Campaign, ReferenceSimulatedOncePerUniqueKeyWithoutStore) {
   EXPECT_EQ(reference_sims.value(), before + 2);
 }
 
+TEST(Campaign, ReferenceReusedAmongManyOtherKeysIsNeverResimulated) {
+  // The reference memo is bounded, but a reference the process keeps
+  // using stays resident however many one-off references pass through:
+  // here 4 other keys between uses, 80 other keys in all.
+  ThreadPool pool(1);
+  obs::Counter& reference_sims = obs::counter("campaign.reference_sims");
+  CampaignConfig hot = small_campaign(1.0, 2);
+  hot.shape.num_ranks = 3;
+  hot.base_seed = 55500001;  // unique keys within this test binary
+  CampaignConfig other = hot;
+  const std::uint64_t before = reference_sims.value();
+  run_campaign(hot, pool, nullptr);
+  constexpr int kOtherKeys = 80;
+  for (int i = 0; i < kOtherKeys; ++i) {
+    other.base_seed = 55600000 + static_cast<std::uint64_t>(i);
+    run_campaign(other, pool, nullptr);
+    if (i % 4 == 3) run_campaign(hot, pool, nullptr);
+  }
+  EXPECT_EQ(reference_sims.value(), before + 1 + kOtherKeys);
+}
+
 TEST(Campaign, InvalidConfigsRejected) {
   ThreadPool pool(1);
   CampaignConfig bad_runs = small_campaign(1.0, 0);
