@@ -1,7 +1,6 @@
 #include "store/object_store.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <fstream>
 #include <optional>
@@ -271,13 +270,11 @@ bool ObjectStore::put(const Digest& key, Kind kind,
   if (fault.kind == WriteFault::Kind::kOpenFail) {
     throw IoError("injected open failure (io chaos) for object " + hex);
   }
-  // Unique temp name per writer, renamed into place: readers never see a
-  // partially written object, and concurrent writers of the same key are
-  // both valid (identical content) so last-rename-wins is safe.
-  static std::atomic<std::uint64_t> temp_sequence{0};
-  const fs::path temp =
-      path.string() + ".tmp." +
-      std::to_string(temp_sequence.fetch_add(1, std::memory_order_relaxed));
+  // Unique temp name per writer (thread or process), renamed into place:
+  // readers never see a partially written object, and concurrent writers
+  // of the same key are both valid (identical content) so last-rename-wins
+  // is safe.
+  const fs::path temp = support::unique_temp_path(path);
   {
     std::ofstream out(temp, std::ios::binary | std::ios::trunc);
     if (!out.good()) {

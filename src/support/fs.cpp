@@ -81,10 +81,7 @@ void atomic_write_file(const std::string& path, const std::string& content,
   // Unique temp name per writer so concurrent writers of the same path
   // never clobber each other's in-progress bytes; the final rename is the
   // single atomic commit point.
-  static std::atomic<std::uint64_t> temp_sequence{0};
-  const fs::path temp =
-      file_path.string() + ".tmp." +
-      std::to_string(temp_sequence.fetch_add(1, std::memory_order_relaxed));
+  const fs::path temp = unique_temp_path(file_path);
 
   {
     std::ofstream out(temp, std::ios::binary | std::ios::trunc);
@@ -129,6 +126,12 @@ void atomic_write_file(const std::string& path, const std::string& content,
   }
   g_write_count.fetch_add(1, std::memory_order_relaxed);
   io_chaos::note_durable_op();
+}
+
+fs::path unique_temp_path(const fs::path& target) {
+  static std::atomic<std::uint64_t> sequence{0};
+  return target.string() + ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));
 }
 
 std::uint64_t atomic_write_count() {

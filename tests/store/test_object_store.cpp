@@ -1,6 +1,8 @@
 #include "store/object_store.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
@@ -220,6 +222,60 @@ TEST_F(ObjectStoreTest, RepeatedRepairUniquifiesQuarantineNames) {
   }
   EXPECT_TRUE(fs::exists(root_ / "quarantine" / "junk"));
   EXPECT_TRUE(fs::exists(root_ / "quarantine" / "junk.1"));
+}
+
+TEST_F(ObjectStoreTest, ForkedWritersPublishingTheSameKeysNeverCollide) {
+  // Two forked children inherit this process's temp-name sequence and,
+  // released together by closing a pipe, publish the same file over and
+  // over, then the same keys into one store. Their temps must not collide:
+  // every publish succeeds and every object reads back intact.
+  constexpr int kKeys = 150;
+  { ObjectStore layout({root_, 0}); }
+  int gate[2];
+  ASSERT_EQ(::pipe(gate), 0);
+  std::vector<pid_t> children;
+  for (int child = 0; child < 2; ++child) {
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+      ::close(gate[1]);
+      char byte = 0;
+      (void)!::read(gate[0], &byte, 1);  // EOF once the parent closes
+      int status = 0;
+      try {
+        for (int i = 0; i < kKeys; ++i) {
+          support::atomic_write_file((root_ / "shared.json").string(),
+                                     std::to_string(i));
+        }
+        ObjectStore store({root_, 0});
+        for (int i = 0; i < kKeys; ++i) {
+          const std::vector<std::uint8_t> bytes = artifact(i);
+          store.put(digest_bytes(bytes.data(), bytes.size()),
+                    Kind::kDistances, bytes);
+        }
+      } catch (...) {
+        status = 1;
+      }
+      ::_exit(status);
+    }
+    children.push_back(pid);
+  }
+  ::close(gate[0]);
+  ::close(gate[1]);
+  for (const pid_t pid : children) {
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "a child's publish failed (status " << status << ")";
+  }
+  ObjectStore store({root_, 0});
+  for (int i = 0; i < kKeys; ++i) {
+    const std::vector<std::uint8_t> bytes = artifact(i);
+    const ObjectBytes fetched =
+        store.get(digest_bytes(bytes.data(), bytes.size()));
+    ASSERT_NE(fetched, nullptr) << "key " << i;
+    EXPECT_EQ(*fetched, bytes);
+  }
 }
 
 TEST_F(ObjectStoreTest, RemoveDropsObjectEverywhere) {
