@@ -65,8 +65,8 @@ void BM_EventGraphBuild(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_SimMessageRace)->Arg(4)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SimAmg2013)->Arg(4)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimMessageRace)->Arg(4)->Arg(16)->Arg(32)->Arg(128)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SimAmg2013)->Arg(4)->Arg(16)->Arg(32)->Arg(128)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimUnstructuredMesh)->Arg(4)->Arg(16)->Arg(32)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EventGraphBuild)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
 
