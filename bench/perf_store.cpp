@@ -1,13 +1,14 @@
 // Microbenchmarks of the content-addressed artifact store: cold campaign
 // execution (every artifact computed and written) versus warm re-execution
 // (every simulation and kernel distance served from the store), plus the
-// raw object put/get path.
+// raw object put/get path and a publish burst into an empty store.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "core/campaign.hpp"
 #include "obs_cli.hpp"
@@ -97,12 +98,43 @@ void BM_ObjectPutGet(benchmark::State& state) {
   fs::remove_all(root);
 }
 
+// A campaign's publish burst: Arg fresh 7.5 KB objects (352 is the object
+// count of a warm 11-point AMG2013/8 sweep's set-up, 7.5 KB their mean
+// size) into an empty store, which is then closed. The close writes
+// index.json once, so items_per_second stays flat as Arg grows; an index
+// rewrite per publish would make the burst O(n^2).
+void BM_ObjectPublishBurst(benchmark::State& state) {
+  const fs::path root = bench_store_root("burst");
+  const std::vector<std::uint8_t> blob =
+      store::encode_distances(std::vector<double>(940, 0.5));
+  std::vector<store::Digest> keys;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    keys.push_back(store::digest_string(std::to_string(i)));
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    fs::remove_all(root);
+    state.ResumeTiming();
+    store::ObjectStore objects({root.string()});
+    for (const store::Digest& key : keys) {
+      objects.put(key, store::Kind::kDistances, blob);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["bytes"] = static_cast<double>(blob.size());
+  fs::remove_all(root);
+}
+
 }  // namespace
 
 BENCHMARK(BM_CampaignCold)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CampaignWarm)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CampaignNoStore)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ObjectPutGet)->Arg(1 << 10)->Arg(1 << 16);
+BENCHMARK(BM_ObjectPublishBurst)
+    ->Arg(88)
+    ->Arg(352)
+    ->Unit(benchmark::kMillisecond);
 
 int main(int argc, char** argv) {
   return anacin::bench::run_benchmark_main(argc, argv);

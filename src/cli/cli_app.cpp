@@ -1967,8 +1967,7 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
       store::ObjectStore::Config store_config{global_options.store_dir,
                                               global_options.store_max_bytes};
       // Worker children share one store root with the campaign process and
-      // their siblings; object publishes are rename-atomic, but the index
-      // temp file is a fixed path concurrent writers would race on.
+      // their siblings; each would overwrite the index with its partial view.
       store_config.persist_index = command != "__worker";
       artifact_store =
           std::make_unique<store::ArtifactStore>(std::move(store_config));
@@ -1980,6 +1979,9 @@ int run_cli(int argc, const char* const* argv, std::ostream& out,
     for (int i = command_index + 1; i < argc; ++i) rest.push_back(argv[i]);
 
     const int code = dispatch(command, rest, out, err);
+    // Close the store now, so io.durable_ops counts its index write.
+    store::set_active_store(nullptr);
+    artifact_store.reset();
 
     if (!global_options.metrics_out.empty()) {
       // Export the durability layer's own counters into the snapshot.

@@ -326,7 +326,9 @@ bool ObjectStore::put(const Digest& key, Kind kind,
   touch_memory_locked(
       hex, std::make_shared<const std::vector<std::uint8_t>>(bytes.begin(),
                                                              bytes.end()));
-  save_index_locked();
+  // index.json is written at close (or by gc/repair/flush_index), not per
+  // publish; the next open's scan adopts objects published since then.
+  index_dirty_ = true;
   return true;
 }
 
@@ -346,7 +348,7 @@ void ObjectStore::remove(const Digest& key) {
   fs::remove(object_path(hex), ec);
   std::lock_guard<std::mutex> lock(mutex_);
   drop_memory_locked(hex);
-  if (index_.erase(hex) > 0) save_index_locked();
+  if (index_.erase(hex) > 0) index_dirty_ = true;
 }
 
 ObjectStore::Stats ObjectStore::stats() const {
@@ -358,11 +360,7 @@ ObjectStore::Stats ObjectStore::stats() const {
   for (const auto& [hex, entry] : index_) {
     stats.objects += 1;
     stats.total_bytes += entry.size;
-    const std::string kind =
-        entry.kind >= 1 && entry.kind <= 5
-            ? std::string(kind_name(static_cast<Kind>(entry.kind)))
-            : "unknown";
-    stats.kind_counts[kind] += 1;
+    stats.kind_counts[std::string(kind_name(static_cast<Kind>(entry.kind)))]++;
   }
   return stats;
 }

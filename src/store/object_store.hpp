@@ -29,8 +29,9 @@ using ObjectBytes = std::shared_ptr<const std::vector<std::uint8_t>>;
 /// in the final directory and rename()d into place, so concurrent writers
 /// and readers (the campaign thread pool) never observe partial objects.
 /// The index holds sizes, kinds, and access times (for `gc`); it is a
-/// cache, not the source of truth — construction rescans the objects
-/// directory, so a lost or stale index self-heals.
+/// cache, not the source of truth, written once when the store closes (or
+/// by `gc`, `repair`, `flush_index`) rather than per publish. Construction
+/// rescans the objects directory, so a lost or stale index self-heals.
 ///
 /// Reads are fronted by a byte-bounded in-memory LRU cache. All public
 /// methods are thread-safe; file reads happen outside the lock.
@@ -41,10 +42,8 @@ class ObjectStore {
     /// Byte bound of the in-memory LRU cache (0 disables caching).
     std::uint64_t memory_max_bytes = 256ull << 20;
     /// Persist index.json (a self-healing cache, not the source of truth).
-    /// Worker children (--isolate=process) disable this: many processes
-    /// share one store root, object publishes are rename-atomic and safe,
-    /// but the index temp file is a fixed path that concurrent writers
-    /// would race on.
+    /// Worker children (--isolate=process) disable this: each would rewrite
+    /// the shared index with its partial view whenever it exits.
     bool persist_index = true;
   };
 
@@ -123,7 +122,7 @@ class ObjectStore {
   /// Also sweeps stale temp files older than this process.
   GcReport gc(std::uint64_t max_bytes);
 
-  /// Persist the index (also done on put/remove/gc and destruction).
+  /// Persist the index if it changed (also done by gc, repair, and close).
   void flush_index();
 
  private:

@@ -2,9 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "core/report.hpp"
+#include "test_dir.hpp"
 
 namespace anacin::core {
 namespace {
@@ -71,10 +70,10 @@ TEST(HtmlReport, InlinesSvgFigures) {
 TEST(HtmlReport, SaveWritesFile) {
   HtmlReport report("saved");
   report.add_paragraph("x");
-  report.save("test_output/report/r.html");
-  const std::string text = read_text_file("test_output/report/r.html");
+  const OwnTestDir dir;
+  report.save(dir.path("report/r.html"));
+  const std::string text = read_text_file(dir.path("report/r.html"));
   EXPECT_NE(text.find("saved"), std::string::npos);
-  std::filesystem::remove_all("test_output");
 }
 
 }  // namespace

@@ -3,18 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
 
 #include "support/error.hpp"
+#include "test_dir.hpp"
 
 namespace anacin::core {
 namespace {
 
 TEST(TextFiles, WriteAndReadRoundTrip) {
-  const std::string path = "test_output/report/inner/file.txt";
+  const OwnTestDir dir;
+  const std::string path = dir.path("report/inner/file.txt");
   write_text_file(path, "hello\nworld\n");
   EXPECT_EQ(read_text_file(path), "hello\nworld\n");
-  std::filesystem::remove_all("test_output");
 }
 
 TEST(TextFiles, ReadMissingThrows) {
@@ -50,19 +50,19 @@ TEST(Csv, RowWidthEnforced) {
 TEST(Csv, SaveWritesFile) {
   CsvWriter csv({"x"});
   csv.add_row({"1"});
-  csv.save("test_output/data.csv");
-  EXPECT_EQ(read_text_file("test_output/data.csv"), "x\n1\n");
-  std::filesystem::remove_all("test_output");
+  const OwnTestDir dir;
+  csv.save(dir.path("data.csv"));
+  EXPECT_EQ(read_text_file(dir.path("data.csv")), "x\n1\n");
 }
 
 TEST(JsonFile, WritesPrettyJson) {
   json::Value doc = json::Value::object();
   doc.set("k", 1);
-  write_json_file("test_output/doc.json", doc);
-  const std::string text = read_text_file("test_output/doc.json");
+  const OwnTestDir dir;
+  write_json_file(dir.path("doc.json"), doc);
+  const std::string text = read_text_file(dir.path("doc.json"));
   EXPECT_NE(text.find("\"k\": 1"), std::string::npos);
   EXPECT_EQ(json::parse(text), doc);
-  std::filesystem::remove_all("test_output");
 }
 
 TEST(ResultsDir, HonorsEnvironmentOverride) {

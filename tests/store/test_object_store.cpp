@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "kernels/sparse_histogram.hpp"
 #include "obs/obs.hpp"
 #include "store/codec.hpp"
 #include "store/store.hpp"
@@ -58,15 +59,96 @@ TEST_F(ObjectStoreTest, PutGetRoundTrip) {
 }
 
 TEST_F(ObjectStoreTest, ObjectsLandInShardedLayout) {
-  ObjectStore store({root_, 1 << 20});
   const std::vector<std::uint8_t> bytes = artifact(2.0);
   const Digest key = digest_bytes(bytes.data(), bytes.size());
-  store.put(key, Kind::kDistances, bytes);
+  {
+    ObjectStore store({root_, 1 << 20});
+    store.put(key, Kind::kDistances, bytes);
 
-  const std::string hex = key.to_hex();
-  EXPECT_TRUE(
-      fs::exists(root_ / "objects" / hex.substr(0, 2) / hex.substr(2)));
+    const std::string hex = key.to_hex();
+    EXPECT_TRUE(
+        fs::exists(root_ / "objects" / hex.substr(0, 2) / hex.substr(2)));
+  }
+  // The index is written when the store closes, not on each publish.
   EXPECT_TRUE(fs::exists(root_ / "index.json"));
+}
+
+TEST_F(ObjectStoreTest, PublishesWriteNoIndexUntilTheStoreCloses) {
+  constexpr int kObjects = 20;
+  const std::uint64_t before = support::atomic_write_count();
+  {
+    ObjectStore store({root_, 1 << 20});
+    for (int i = 0; i < kObjects; ++i) {
+      const std::vector<std::uint8_t> blob = artifact(static_cast<double>(i));
+      ASSERT_TRUE(store.put(digest_bytes(blob.data(), blob.size()),
+                            Kind::kDistances, blob));
+    }
+    EXPECT_EQ(support::atomic_write_count(), before);
+    EXPECT_FALSE(fs::exists(root_ / "index.json"));
+  }
+  EXPECT_EQ(support::atomic_write_count(), before + 1);
+
+  ObjectStore reopened({root_, 1 << 20});
+  const ObjectStore::Stats stats = reopened.stats();
+  EXPECT_EQ(stats.objects, static_cast<std::uint64_t>(kObjects));
+  EXPECT_EQ(stats.kind_counts.size(), 1u);
+  EXPECT_EQ(stats.kind_counts.at("distances"),
+            static_cast<std::uint64_t>(kObjects));
+}
+
+TEST_F(ObjectStoreTest, CrashBeforeCloseLosesNoObjectOrKind) {
+  // A child publishes objects of two kinds and _exit()s without running
+  // destructors, so no index is ever written. The next open must adopt
+  // every object from the directory, reading its kind from the envelope.
+  std::vector<std::vector<std::uint8_t>> distances;
+  std::vector<std::vector<std::uint8_t>> features;
+  for (int i = 0; i < 4; ++i) {
+    distances.push_back(artifact(static_cast<double>(i)));
+    kernels::SparseHistogram histogram;
+    histogram.push(static_cast<std::uint64_t>(i), 1.0 + i);
+    histogram.push(100, 2.0);
+    features.push_back(encode_features(histogram));
+  }
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    int status = 0;
+    try {
+      auto* store = new ObjectStore({root_, 0});  // never destroyed
+      for (std::size_t i = 0; i < distances.size(); ++i) {
+        store->put(digest_bytes(distances[i].data(), distances[i].size()),
+                   Kind::kDistances, distances[i]);
+        store->put(digest_bytes(features[i].data(), features[i].size()),
+                   Kind::kFeatures, features[i]);
+      }
+    } catch (...) {
+      status = 1;
+    }
+    ::_exit(status);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "the child's publishes failed (status " << status << ")";
+  EXPECT_FALSE(fs::exists(root_ / "index.json"));
+
+  ObjectStore store({root_, 1 << 20});
+  const ObjectStore::Stats stats = store.stats();
+  EXPECT_EQ(stats.objects, distances.size() + features.size());
+  EXPECT_EQ(stats.kind_counts.size(), 2u);
+  EXPECT_EQ(stats.kind_counts.at("distances"), distances.size());
+  EXPECT_EQ(stats.kind_counts.at("features"), features.size());
+  std::uint64_t total_bytes = 0;
+  for (const auto& blobs : {distances, features}) {
+    for (const std::vector<std::uint8_t>& blob : blobs) {
+      total_bytes += blob.size();
+      const ObjectBytes fetched =
+          store.get(digest_bytes(blob.data(), blob.size()));
+      ASSERT_NE(fetched, nullptr);
+      EXPECT_EQ(*fetched, blob);
+    }
+  }
+  EXPECT_EQ(stats.total_bytes, total_bytes);
 }
 
 TEST_F(ObjectStoreTest, SurvivesReopenAndIndexLoss) {
